@@ -145,13 +145,15 @@ impl UnionFind {
 
 /// Recursive dual-tree pass: applies every friendship between tree `a`
 /// and tree `b` to the union-find, pruning node pairs separated by more
-/// than the linking length. With `same_tree`, node pairs below the
-/// diagonal are skipped and leaf self-pairs iterate `i < j`.
+/// than the linking length. The trees' `Data` may differ (a local tree
+/// against the `CountData` ghost tree). With `same_tree` (`a` and `b`
+/// are the same tree), node pairs below the diagonal are skipped and
+/// leaf self-pairs iterate `i < j`.
 #[allow(clippy::too_many_arguments)]
-fn dual_link<D: Data>(
-    a: &BuiltTree<D>,
+fn dual_link<A: Data, B: Data>(
+    a: &BuiltTree<A>,
     ai: NodeIdx,
-    b: &BuiltTree<D>,
+    b: &BuiltTree<B>,
     bi: NodeIdx,
     same_tree: bool,
     r2: f64,
@@ -191,6 +193,8 @@ fn dual_link<D: Data>(
         (NodeShape::Leaf { start: sa, end: ea }, NodeShape::Leaf { start: sb, end: eb }) => {
             for p in &a.particles[sa as usize..ea as usize] {
                 for q in &b.particles[sb as usize..eb as usize] {
+                    // A ghost can be an image of the particle itself
+                    // (periodic self-route); that is not a friendship.
                     if p.id != q.id && p.pos.dist_sq(q.pos) <= r2 {
                         uf.union_ids(p.id, q.id);
                     }
@@ -237,8 +241,7 @@ fn ghost_tree<D: Data>(
         TreeType::Octree | TreeType::BinaryOct => tight.bounding_cube(),
         _ => tight,
     };
-    let builder =
-        TreeBuilder { tree_type, bucket_size, parallel: false, root_key: ROOT_KEY, root_depth: 0 };
+    let builder = TreeBuilder { tree_type, bucket_size, root_key: ROOT_KEY, root_depth: 0 };
     builder.build::<D>(ghosts, root)
 }
 
@@ -272,67 +275,11 @@ pub fn link_forest<D: Data>(
         if !ghosts.is_empty() {
             let gt = ghost_tree::<CountData>(ghosts, tree_type, bucket_size);
             for ta in box_trees {
-                dual_link_mixed(ta, 0, &gt, 0, r2, &mut uf);
+                dual_link(ta, 0, &gt, 0, false, r2, &mut uf);
             }
         }
     }
-    let _ = forest;
     catalog_from(&owned, uf, params, &forest.period)
-}
-
-/// `dual_link` across two differently-typed trees (local `D` vs the
-/// `CountData` ghost tree).
-fn dual_link_mixed<D: Data>(
-    a: &BuiltTree<D>,
-    ai: NodeIdx,
-    b: &BuiltTree<CountData>,
-    bi: NodeIdx,
-    r2: f64,
-    uf: &mut UnionFind,
-) {
-    let na = &a.nodes[ai as usize];
-    let nb = &b.nodes[bi as usize];
-    if na.n_particles == 0 || nb.n_particles == 0 {
-        return;
-    }
-    if na.bbox.dist_sq_to_box(&nb.bbox) > r2 {
-        return;
-    }
-    match (na.shape, nb.shape) {
-        (NodeShape::Leaf { start: sa, end: ea }, NodeShape::Leaf { start: sb, end: eb }) => {
-            for p in &a.particles[sa as usize..ea as usize] {
-                for q in &b.particles[sb as usize..eb as usize] {
-                    // A ghost can be an image of the particle itself
-                    // (periodic self-route); that is not a friendship.
-                    if p.id != q.id && p.pos.dist_sq(q.pos) <= r2 {
-                        uf.union_ids(p.id, q.id);
-                    }
-                }
-            }
-        }
-        (NodeShape::Internal, NodeShape::Leaf { .. }) => {
-            for ca in na.child_indices() {
-                dual_link_mixed(a, ca, b, bi, r2, uf);
-            }
-        }
-        (NodeShape::Leaf { .. }, NodeShape::Internal) => {
-            for cb in nb.child_indices() {
-                dual_link_mixed(a, ai, b, cb, r2, uf);
-            }
-        }
-        (NodeShape::Internal, NodeShape::Internal) => {
-            if na.bbox.size().max_component() >= nb.bbox.size().max_component() {
-                for ca in na.child_indices() {
-                    dual_link_mixed(a, ca, b, bi, r2, uf);
-                }
-            } else {
-                for cb in nb.child_indices() {
-                    dual_link_mixed(a, ai, b, cb, r2, uf);
-                }
-            }
-        }
-        _ => {}
-    }
 }
 
 // ---------------------------------------------------------------------

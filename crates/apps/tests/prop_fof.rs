@@ -15,7 +15,12 @@ use paratreet_tree::{CountData, TreeType};
 use proptest::prelude::*;
 
 fn particles_in(extent: f64, max_n: usize) -> impl Strategy<Value = Vec<Particle>> {
-    prop::collection::vec((0.0..extent, 0.0..extent, 0.0..extent), 2..max_n).prop_map(|pts| {
+    particles_between(0.0, extent, max_n)
+}
+
+/// Particles anywhere in the cube `[lo, hi)³`.
+fn particles_between(lo: f64, hi: f64, max_n: usize) -> impl Strategy<Value = Vec<Particle>> {
+    prop::collection::vec((lo..hi, lo..hi, lo..hi), 2..max_n).prop_map(|pts| {
         pts.into_iter()
             .enumerate()
             .map(|(i, (x, y, z))| Particle::point_mass(i as u64, 1.0, Vec3::new(x, y, z)))
@@ -49,8 +54,47 @@ fn forest_fof(
     link_forest(&forest, &trees, &layer, params, config.tree_type, config.bucket_size)
 }
 
+/// Asserts the forest catalog equals brute force on an open grid.
+fn assert_open_grid_matches_brute_force(ps: Vec<Particle>, spec: &DomainSpec, params: &FofParams) {
+    let truth = brute_force_fof(&ps, &spec.period(), params);
+    let cat = forest_fof(ps, spec, params);
+    assert_eq!(cat.n_links, truth.n_links, "spanning-link counts differ");
+    let members = |c: &paratreet_apps::fof::FofCatalog| -> Vec<(u64, Vec<u64>)> {
+        c.halos.iter().map(|h| (h.id, h.members.clone())).collect()
+    };
+    assert_eq!(members(&cat), members(&truth), "halo membership differs");
+}
+
+#[test]
+fn straggler_pair_across_an_open_seam_links() {
+    // Open 2x1x1 grid of unit tiles over [0,2]x[0,1]x[0,1]. Particles 0
+    // and 1 straddle the x = 1 seam at y = 1.8, outside the grid; each
+    // is clamped into a different tile, and only the ghost layer can
+    // see their friendship.
+    let ps = vec![
+        Particle::point_mass(0, 1.0, Vec3::new(0.98, 1.8, 0.5)),
+        Particle::point_mass(1, 1.0, Vec3::new(1.02, 1.8, 0.5)),
+        Particle::point_mass(2, 1.0, Vec3::new(0.5, 0.5, 0.5)),
+    ];
+    let spec = DomainSpec::tiled([2, 1, 1], 1.0, false);
+    assert_open_grid_matches_brute_force(ps, &spec, &FofParams { link: 0.1, min_members: 2 });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn open_grid_stragglers_match_brute_force(
+        ps in particles_between(-1.0, 3.0, 120),
+        link in 0.05f64..0.5,
+        min_members in 2usize..5,
+    ) {
+        // The open 2x1x1 grid covers [0,2]x[0,1]x[0,1]; most of the
+        // cube [-1,3)^3 lies outside it, so most particles are clamped
+        // into edge tiles, many of them across a seam from a friend.
+        let spec = DomainSpec::tiled([2, 1, 1], 1.0, false);
+        assert_open_grid_matches_brute_force(ps, &spec, &FofParams { link, min_members });
+    }
 
     #[test]
     fn forest_fof_matches_brute_force(

@@ -1,15 +1,16 @@
 //! Direct O(N²) summation — the accuracy ground truth.
 
 use paratreet_apps::gravity::grav_exact;
+use paratreet_core::par;
 use paratreet_geometry::Vec3;
 use paratreet_particles::Particle;
-use rayon::prelude::*;
 
 /// Computes exact pairwise accelerations and potentials into the
-/// particles (replacing the accumulators), with Plummer softening.
+/// particles (replacing the accumulators), with Plummer softening, one
+/// thread per core.
 pub fn direct_gravity(particles: &mut [Particle], g: f64) {
     let snapshot: Vec<Particle> = particles.to_vec();
-    particles.par_iter_mut().for_each(|p| {
+    par::map(0, particles.iter_mut().collect(), |_, p: &mut Particle| {
         p.acc = Vec3::ZERO;
         p.potential = 0.0;
         for s in &snapshot {

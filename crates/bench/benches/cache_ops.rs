@@ -31,7 +31,6 @@ fn make_octant_trees(
         let builder = TreeBuilder {
             root_key: NodeKey::root().child(oct, 3),
             root_depth: 1,
-            parallel: false,
             ..TreeBuilder::new(TreeType::Octree)
         };
         let tree = builder.bucket_size(16).build::<CentroidData>(part, universe.octant(oct));

@@ -1,9 +1,10 @@
 //! Criterion microbenchmarks: tree construction for every tree type,
-//! sequential vs rayon-parallel, and the decomposition phase.
+//! Subtree builds at one and two `par::map` threads, and the
+//! decomposition phase.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paratreet_apps::gravity::CentroidData;
-use paratreet_core::{decompose, Configuration, DecompType};
+use paratreet_core::{decompose, par, Configuration, DecompType};
 use paratreet_particles::{gen, ParticleVec};
 use paratreet_tree::{TreeBuilder, TreeType};
 use std::hint::black_box;
@@ -33,17 +34,23 @@ fn bench_build_parallelism(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_build_parallel");
     group.sample_size(10);
     let ps = gen::uniform_cube(100_000, 3, 1.0, 1.0);
-    let bbox = ps.bounding_box().padded(1e-9).bounding_cube();
-    for parallel in [false, true] {
+    let config = Configuration { n_subtrees: 16, ..Default::default() };
+    let pieces = decompose(ps, &config).subtrees;
+    for width in [1usize, 2] {
         group.bench_with_input(
-            BenchmarkId::new("oct_100k", if parallel { "rayon" } else { "seq" }),
-            &parallel,
-            |b, &parallel| {
+            BenchmarkId::new("oct_100k_16_subtrees", format!("width{width}")),
+            &width,
+            |b, &width| {
                 b.iter(|| {
-                    let t = TreeBuilder::new(TreeType::Octree)
-                        .parallel(parallel)
-                        .build::<CentroidData>(black_box(ps.clone()), bbox);
-                    black_box(t.nodes.len())
+                    let trees = par::map(width, black_box(pieces.clone()), |_, piece| {
+                        TreeBuilder {
+                            root_key: piece.key,
+                            root_depth: piece.depth,
+                            ..TreeBuilder::new(TreeType::Octree)
+                        }
+                        .build::<CentroidData>(piece.particles, piece.bbox)
+                    });
+                    black_box(trees.len())
                 })
             },
         );

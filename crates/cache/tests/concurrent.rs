@@ -31,7 +31,6 @@ fn make_fills(n: usize) -> (CacheTree<CountData>, Vec<(NodeKey, Vec<u8>)>) {
         let builder = TreeBuilder {
             root_key: NodeKey::root().child(oct, 3),
             root_depth: 1,
-            parallel: false,
             ..TreeBuilder::new(TreeType::Octree)
         };
         let tree = builder.bucket_size(4).build::<CountData>(part, universe.octant(oct));

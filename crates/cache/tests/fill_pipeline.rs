@@ -30,7 +30,6 @@ fn make_world(n: usize) -> (CacheTree<CountData>, CacheTree<CountData>) {
         let builder = TreeBuilder {
             root_key: NodeKey::root().child(oct, 3),
             root_depth: 1,
-            parallel: false,
             ..TreeBuilder::new(TreeType::Octree)
         };
         let tree = builder.bucket_size(4).build::<CountData>(part, universe.octant(oct));

@@ -32,7 +32,6 @@ fn grafted_cache(n: usize, seed: u64, clusters: usize) -> CacheTree<CountData> {
         let builder = TreeBuilder {
             root_key: NodeKey::root().child(oct, 3),
             root_depth: 1,
-            parallel: false,
             ..TreeBuilder::new(TreeType::Octree)
         };
         let tree = builder.bucket_size(4).build::<CountData>(part, universe.octant(oct));

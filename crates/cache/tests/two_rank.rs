@@ -36,7 +36,6 @@ fn make_world(
         let builder = TreeBuilder {
             root_key: NodeKey::root().child(oct, 3),
             root_depth: 1,
-            parallel: false,
             ..TreeBuilder::new(TreeType::Octree)
         };
         let tree = builder.bucket_size(8).build::<CountData>(part, universe.octant(oct));

@@ -116,9 +116,11 @@ pub struct IncrementalConfig {
     /// zero-motion identity), at the cost of more full-rebuild
     /// fallbacks for expanding systems.
     pub universe_pad: f64,
-    /// Threads used for the batch classify/apply/flatten phases over
-    /// disjoint Subtrees (0 = one per available core, capped at the
-    /// Subtree count). The deterministic DES engine always runs with 1.
+    /// Width of every shared-engine parallel phase (0 = one thread per
+    /// available core): Subtree builds, per-Partition traversals, forest
+    /// builds, and the maintainer's batch classify/apply/flatten phases.
+    /// Results are bit-identical at any width (see [`crate::par`]). The
+    /// deterministic DES engine always runs with 1.
     pub batch_threads: usize,
 }
 

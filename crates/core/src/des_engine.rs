@@ -703,7 +703,6 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                         let builder = TreeBuilder {
                             root_key: piece.key,
                             root_depth: piece.depth,
-                            parallel: false,
                             ..TreeBuilder::new(config.tree_type)
                         }
                         .bucket_size(config.bucket_size);
@@ -1000,7 +999,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         }
 
         // Phase 1: decomposition tasks — the per-rank sort parallelises
-        // over the rank's workers (rayon in the real engine). On an
+        // over the rank's workers (threads in the real engine). On an
         // incremental advance the sort is replaced by the maintainer's
         // classify/resync sweep: linear in the rank's particles, charged
         // to the incremental-update phase.

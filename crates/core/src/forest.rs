@@ -45,6 +45,7 @@ use paratreet_tree::{BuildNode, BuiltTree, Data, NodeIdx, NodeShape, TreeBuilder
 use crate::config::Configuration;
 use crate::decomp::{decompose_within, universe_for, Decomposition, Partitioner};
 use crate::maintain::{MaintainRound, TreeMaintainer, UpdateTotals};
+use crate::par;
 
 // ---------------------------------------------------------------------
 // Domain specification.
@@ -115,10 +116,14 @@ impl DomainSpec {
     /// The domain boxes. `SingleCube` derives its one box from the
     /// particles exactly as the single-domain pipeline does, so a
     /// one-box forest decomposes identically to [`crate::decompose`].
+    /// On an open `TiledGrid`, each exterior tile grows over the
+    /// particles [`DomainSpec::assign`] clamps into it, so every box
+    /// contains what it owns and ghost radii measured from a box reach
+    /// a straggler's neighbours across the seam.
     pub fn boxes(&self, particles: &[Particle], config: &Configuration) -> Vec<BoundingBox> {
         match self {
             DomainSpec::SingleCube => vec![universe_for(particles, config, 0.0)],
-            DomainSpec::TiledGrid { dims, origin, tile, .. } => {
+            DomainSpec::TiledGrid { dims, origin, tile, periodic } => {
                 let d = [dims[0].max(1), dims[1].max(1), dims[2].max(1)];
                 let mut out = Vec::with_capacity(d[0] * d[1] * d[2]);
                 for k in 0..d[2] {
@@ -134,6 +139,12 @@ impl DomainSpec {
                                 );
                             out.push(BoundingBox::new(lo, hi));
                         }
+                    }
+                }
+                if !periodic {
+                    for p in particles {
+                        let owner = self.assign(p.pos, &out);
+                        out[owner].grow(p.pos);
                     }
                 }
                 out
@@ -256,31 +267,28 @@ impl Forest {
         }
     }
 
-    /// Builds every box's trees from its decomposition. Returns one
-    /// tree list per box, in box order (an empty list for empty boxes).
+    /// Builds every box's trees from its decomposition, in parallel over
+    /// all (box, Subtree) pieces (`incremental.batch_threads` wide, or
+    /// one thread when `parallel` is false). Returns one tree list per
+    /// box, in box order (an empty list for empty boxes).
     pub fn build_trees<D: Data>(
         &self,
         config: &Configuration,
         parallel: bool,
     ) -> Vec<Vec<BuiltTree<D>>> {
-        self.decomps
-            .iter()
-            .map(|d| {
-                d.subtrees
-                    .iter()
-                    .map(|piece| {
-                        let builder = TreeBuilder {
-                            tree_type: config.tree_type,
-                            bucket_size: config.bucket_size,
-                            parallel,
-                            root_key: piece.key,
-                            root_depth: piece.depth,
-                        };
-                        builder.build::<D>(piece.particles.clone(), piece.bbox)
-                    })
-                    .collect()
-            })
-            .collect()
+        let pieces: Vec<_> = self.decomps.iter().flat_map(|d| &d.subtrees).collect();
+        let width = if parallel { config.incremental.batch_threads } else { 1 };
+        let mut built = par::map(width, pieces, |_, piece| {
+            let builder = TreeBuilder {
+                tree_type: config.tree_type,
+                bucket_size: config.bucket_size,
+                root_key: piece.key,
+                root_depth: piece.depth,
+            };
+            builder.build::<D>(piece.particles.clone(), piece.bbox)
+        })
+        .into_iter();
+        self.decomps.iter().map(|d| built.by_ref().take(d.subtrees.len()).collect()).collect()
     }
 }
 

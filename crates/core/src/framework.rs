@@ -15,6 +15,7 @@
 use crate::config::{Configuration, TraversalKind};
 use crate::decomp::{decompose, Partitioner};
 use crate::maintain::{TreeMaintainer, UpdateTotals};
+use crate::par;
 use crate::traversal::{traverse_local, TraversalStats, WorkCounts};
 use crate::visitor::{TargetBucket, Visitor};
 use paratreet_cache::{CacheTree, NodeKind, SubtreeSummary};
@@ -22,7 +23,6 @@ use paratreet_geometry::{BoundingBox, NodeKey};
 use paratreet_particles::Particle;
 use paratreet_telemetry::{FlightRecorder, MetricsRegistry, Telemetry};
 use paratreet_tree::{BuiltTree, Data, TreeBuilder};
-use rayon::prelude::*;
 
 /// A partition's share of target buckets: the global bucket indices and
 /// the owned copies the traversal mutates.
@@ -108,6 +108,8 @@ pub struct Step<D: Data> {
     pub report: StepReport,
     master: Vec<Particle>,
     buckets: Vec<BucketMeta>,
+    /// [`par::map`] width for the per-Partition traversals.
+    width: usize,
 }
 
 /// Observer for every step's freshly built forest, called as
@@ -134,18 +136,15 @@ impl<D: Data> Step<D> {
         // synchronization-free tree build).
         let t0 = std::time::Instant::now();
         let trees: Vec<_> = telemetry.wall_span(0, "tree build", None, || {
-            subtrees
-                .into_par_iter()
-                .map(|piece| {
-                    let builder = TreeBuilder {
-                        root_key: piece.key,
-                        root_depth: piece.depth,
-                        ..TreeBuilder::new(config.tree_type)
-                    }
-                    .bucket_size(config.bucket_size);
-                    builder.build::<D>(piece.particles, piece.bbox)
-                })
-                .collect()
+            par::map(config.incremental.batch_threads, subtrees, |_, piece| {
+                let builder = TreeBuilder {
+                    root_key: piece.key,
+                    root_depth: piece.depth,
+                    ..TreeBuilder::new(config.tree_type)
+                }
+                .bucket_size(config.bucket_size);
+                builder.build::<D>(piece.particles, piece.bbox)
+            })
         });
         let seconds_build = t0.elapsed().as_secs_f64();
 
@@ -242,7 +241,7 @@ impl<D: Data> Step<D> {
         report.n_buckets = buckets.len();
         report.n_split_leaves = n_split_leaves;
         report.seconds_share = seconds_share;
-        Step { cache, universe, report, master, buckets }
+        Step { cache, universe, report, master, buckets, width: config.incremental.batch_threads }
     }
 
     /// Runs one traversal of `kind` with `visitor` over every Partition
@@ -278,15 +277,16 @@ impl<D: Data> Step<D> {
         // Parallel traversal: partitions are independent, the cache is
         // read-only (all local).
         let cache = &self.cache;
+        let slots: Vec<_> = per_partition.iter_mut().map(|(_, buckets)| buckets).collect();
         let counts_total: WorkCounts =
             cache.telemetry.clone().wall_span(0, "local traversal", None, || {
-                per_partition
-                    .par_iter_mut()
-                    .map(|(_, buckets)| traverse_local(cache, visitor, kind, buckets))
-                    .reduce(WorkCounts::default, |mut a, b| {
-                        a += b;
-                        a
-                    })
+                let per_slot = par::map(self.width, slots, |_, buckets| {
+                    traverse_local(cache, visitor, kind, buckets)
+                });
+                per_slot.into_iter().fold(WorkCounts::default(), |mut a, b| {
+                    a += b;
+                    a
+                })
             });
 
         // Write-back: bucket particle copies return to the master array;

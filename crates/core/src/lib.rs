@@ -8,7 +8,7 @@
 //!
 //! Three execution engines share all of that logic:
 //!
-//! * [`Framework`] — the shared-memory engine: one process, rayon
+//! * [`Framework`] — the shared-memory engine: one process, [`par::map`]
 //!   workers, everything local (used by the examples, the unit tests,
 //!   and the cache simulator),
 //! * [`DistributedEngine`] — the same pipeline on the discrete-event
@@ -33,6 +33,7 @@ pub mod des_engine;
 pub mod forest;
 pub mod framework;
 pub mod maintain;
+pub mod par;
 pub mod threaded;
 pub mod traversal;
 pub mod visitor;

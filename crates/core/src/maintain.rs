@@ -41,12 +41,12 @@
 //! reproduces the same structure.
 
 use crate::config::{Configuration, DecompType, SfcCurve};
-use crate::decomp::{decompose_within, universe_for, Partitioner, SubtreePiece};
+use crate::decomp::{decompose_within, universe_for, Partitioner};
+use crate::par;
 use paratreet_geometry::{BoundingBox, NodeKey, Vec3};
 use paratreet_particles::Particle;
 use paratreet_telemetry::metrics::{MetricSource, MetricsRegistry};
 use paratreet_tree::{BuiltTree, Data, TreeBuilder, UpdatableTree, UpdateError, UpdateStats};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// Cumulative `tree.update.*` counters over the life of a maintainer.
@@ -147,54 +147,6 @@ pub(crate) fn partition_imbalance(loads: &[u64]) -> f64 {
     *loads.iter().max().expect("non-empty loads") as f64 / mean
 }
 
-/// Runs `f(index, item, arg)` over the zipped items on up to `threads`
-/// scoped OS threads (the workspace `rayon` is a sequential shim, so
-/// real parallelism comes from `std::thread`). Items are chunked
-/// contiguously and results are returned in index order, so the output
-/// — and everything downstream — is independent of thread count.
-fn par_map_mut<T, U, R>(
-    threads: usize,
-    items: &mut [T],
-    args: Vec<U>,
-    f: impl Fn(usize, &mut T, U) -> R + Sync,
-) -> Vec<R>
-where
-    T: Send,
-    U: Send,
-    R: Send,
-{
-    debug_assert_eq!(items.len(), args.len());
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter_mut().zip(args).enumerate().map(|(i, (t, a))| f(i, t, a)).collect();
-    }
-    let chunk = items.len().div_ceil(threads.min(items.len()));
-    let mut arg_chunks: Vec<Vec<U>> = Vec::new();
-    let mut rest = args;
-    while rest.len() > chunk {
-        let tail = rest.split_off(chunk);
-        arg_chunks.push(std::mem::replace(&mut rest, tail));
-    }
-    arg_chunks.push(rest);
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        let mut base = 0usize;
-        for (items_chunk, args_chunk) in items.chunks_mut(chunk).zip(arg_chunks) {
-            let f = &f;
-            let start = base;
-            base += items_chunk.len();
-            handles.push(s.spawn(move || {
-                items_chunk
-                    .iter_mut()
-                    .zip(args_chunk)
-                    .enumerate()
-                    .map(|(k, (t, a))| f(start + k, t, a))
-                    .collect::<Vec<R>>()
-            }));
-        }
-        handles.into_iter().flat_map(|h| h.join().expect("maintenance worker panicked")).collect()
-    })
-}
-
 /// Maintains the global tree across iterations for one engine. Seeded
 /// once with a full decompose + build; advanced once per iteration with
 /// the integrated particle state.
@@ -206,10 +158,10 @@ pub struct TreeMaintainer<D: Data> {
     partitioner: Partitioner,
     n_partitions: usize,
     totals: UpdateTotals,
-    /// Rayon-style parallelism for the seed/rebuild builder paths.
-    parallel: bool,
-    /// Scoped-thread count for the batch classify/apply/flatten phases.
-    threads: usize,
+    /// [`par::map`] width for the seed builds and the batch
+    /// classify/apply/flatten phases (1 when seeded with
+    /// `parallel = false`).
+    width: usize,
 }
 
 impl<D: Data> TreeMaintainer<D> {
@@ -218,21 +170,15 @@ impl<D: Data> TreeMaintainer<D> {
     /// `n_subtrees` / `n_partitions` minimums. With
     /// `incremental.universe_pad == 0` the returned trees are
     /// bit-identical to a fresh [`crate::decompose`] + build pass.
-    /// `parallel = false` (the deterministic DES engine) also pins the
-    /// batch phases to one thread.
+    /// `parallel = false` (the deterministic DES engine) pins the builds
+    /// and the batch phases to one thread; otherwise they run
+    /// `incremental.batch_threads` wide.
     pub fn seed(
         config: &Configuration,
         particles: Vec<Particle>,
         parallel: bool,
     ) -> (TreeMaintainer<D>, Vec<BuiltTree<D>>) {
-        let threads = if parallel {
-            match config.incremental.batch_threads {
-                0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-                t => t,
-            }
-        } else {
-            1
-        };
+        let width = if parallel { config.incremental.batch_threads } else { 1 };
         let mut m = TreeMaintainer {
             config: config.clone(),
             universe: BoundingBox::empty(),
@@ -241,8 +187,7 @@ impl<D: Data> TreeMaintainer<D> {
             partitioner: Partitioner::KeyRanges { splitters: Vec::new() },
             n_partitions: config.n_partitions,
             totals: UpdateTotals::default(),
-            parallel,
-            threads,
+            width,
         };
         let built = m.reseed(particles);
         (m, built)
@@ -288,23 +233,15 @@ impl<D: Data> TreeMaintainer<D> {
             .collect();
         let tree_type = cfg.tree_type;
         let bucket_size = cfg.bucket_size;
-        let parallel = self.parallel;
-        let build_one = |piece: SubtreePiece| {
+        let built: Vec<BuiltTree<D>> = par::map(self.width, decomp.subtrees, |_, piece| {
             let builder = TreeBuilder {
                 tree_type,
                 bucket_size,
-                parallel,
                 root_key: piece.key,
                 root_depth: piece.depth,
             };
-            let bbox = piece.bbox;
-            builder.build::<D>(piece.particles, bbox)
-        };
-        let built: Vec<BuiltTree<D>> = if parallel {
-            decomp.subtrees.into_par_iter().map(build_one).collect()
-        } else {
-            decomp.subtrees.into_iter().map(build_one).collect()
-        };
+            builder.build::<D>(piece.particles, piece.bbox)
+        });
         self.trees = built
             .iter()
             .zip(&self.pieces)
@@ -408,8 +345,8 @@ impl<D: Data> TreeMaintainer<D> {
             off += c;
         }
         debug_assert_eq!(off, master.len());
-        let classified =
-            par_map_mut(self.threads, &mut self.trees, slices, |_, t, s| t.classify(s));
+        let work: Vec<_> = self.trees.iter_mut().zip(slices).collect();
+        let classified = par::map(self.width, work, |_, (t, s)| t.classify(s));
         let mut escapees_per_tree = Vec::with_capacity(n_trees);
         for (si, c) in classified.into_iter().enumerate() {
             let c = c?;
@@ -460,7 +397,8 @@ impl<D: Data> TreeMaintainer<D> {
         // Phase 3 — apply: sieve each destination's batch down in one
         // group pass, then repair, in parallel over disjoint Subtrees.
         let alpha = inc.balance_alpha;
-        let applied = par_map_mut(self.threads, &mut self.trees, batches, |_, t, b| {
+        let work: Vec<_> = self.trees.iter_mut().zip(batches).collect();
+        let applied = par::map(self.width, work, |_, (t, b)| {
             t.insert_batch(b)?;
             t.repair(alpha)
         });
@@ -504,7 +442,8 @@ impl<D: Data> TreeMaintainer<D> {
         // still warm in cache).
         let partitioner = &self.partitioner;
         let n_partitions = self.n_partitions;
-        let flats = par_map_mut(self.threads, &mut self.trees, vec![(); n_trees], |_, t, ()| {
+        let work: Vec<_> = self.trees.iter_mut().collect();
+        let flats = par::map(self.width, work, |_, t| {
             let flat = t.flatten()?;
             let mut loads = vec![0u64; n_partitions];
             for p in &flat.particles {
@@ -609,7 +548,6 @@ impl<D: Data> TreeMaintainer<D> {
         let builder = TreeBuilder {
             tree_type: self.config.tree_type,
             bucket_size: self.config.bucket_size,
-            parallel: self.parallel,
             root_key: piece.key,
             root_depth: piece.depth,
         };

@@ -29,6 +29,7 @@
 use crate::config::{Configuration, TraversalKind};
 use crate::decomp::{decompose, Partitioner};
 use crate::maintain::TreeMaintainer;
+use crate::par;
 use crate::traversal::{process_item, seed_items, PendingFetch, WorkCounts, WorkItem};
 use crate::visitor::{TargetBucket, Visitor};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -182,8 +183,8 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
         config.n_subtrees = config.n_subtrees.max(ranks * 4);
         config.n_partitions = config.n_partitions.max(ranks * self.workers_per_rank * 2);
 
-        // ---- Decompose and build (centrally; the builds themselves are
-        // rayon-parallel inside TreeBuilder) ----
+        // ---- Decompose and build (centrally; the Subtree builds run in
+        // parallel, `incremental.batch_threads` wide) ----
         let decomp =
             self.telemetry.wall_span(0, "decomposition", None, || decompose(particles, &config));
         let n_subtrees = decomp.subtrees.len();
@@ -191,20 +192,15 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
 
         let trees: Vec<(u32, paratreet_tree::BuiltTree<V::Data>)> =
             self.telemetry.wall_span(0, "tree build", None, || {
-                decomp
-                    .subtrees
-                    .into_iter()
-                    .enumerate()
-                    .map(|(si, piece)| {
-                        let builder = TreeBuilder {
-                            root_key: piece.key,
-                            root_depth: piece.depth,
-                            ..TreeBuilder::new(config.tree_type)
-                        }
-                        .bucket_size(config.bucket_size);
-                        (subtree_rank(si), builder.build::<V::Data>(piece.particles, piece.bbox))
-                    })
-                    .collect()
+                par::map(config.incremental.batch_threads, decomp.subtrees, |si, piece| {
+                    let builder = TreeBuilder {
+                        root_key: piece.key,
+                        root_depth: piece.depth,
+                        ..TreeBuilder::new(config.tree_type)
+                    }
+                    .bucket_size(config.bucket_size);
+                    (subtree_rank(si), builder.build::<V::Data>(piece.particles, piece.bbox))
+                })
             });
         if self.flight.is_enabled() {
             let epoch = self.iterations.load(Ordering::Relaxed);

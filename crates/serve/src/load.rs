@@ -18,6 +18,7 @@
 use crate::request::{Query, QueryClass, Request, Response};
 use crate::service::QueryService;
 use crate::ServeError;
+use paratreet_core::par;
 use paratreet_geometry::{BoundingBox, Vec3};
 use paratreet_tree::Data;
 use rand::{Rng, SeedableRng, StdRng};
@@ -186,14 +187,8 @@ pub fn run_load<D: Data>(
     let t0 = std::time::Instant::now();
     let mut report = LoadReport { min_epoch: u64::MAX, ..LoadReport::default() };
 
-    let partials: Vec<LoadReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|ti| {
-                let config = *config;
-                scope.spawn(move || drive_clients(service, &universe, &config, ti, threads))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("load driver panicked")).collect()
+    let partials: Vec<LoadReport> = par::map(threads, (0..threads).collect(), |ti, _| {
+        drive_clients(service, &universe, config, ti, threads)
     });
 
     for p in partials {

@@ -6,20 +6,16 @@
 //! builder reorders its particle array in place so that every leaf owns a
 //! contiguous range, then fills `Data` from the leaves toward the root.
 //!
-//! Large nodes split in parallel with rayon; each child subtree builds
-//! into its own local arena and the parent stitches the arenas together,
-//! so no synchronisation is needed during the build itself — the same
-//! "limits synchronization during tree build" property the paper gets
-//! from building Subtrees independently.
+//! Each child subtree builds into its own local arena and the parent
+//! stitches the arenas together. A build is sequential: parallelism
+//! lives one level up, where the engines build independent Subtrees
+//! concurrently with no synchronisation — the paper's "limits
+//! synchronization during tree build" property.
 
 use crate::node::{BuildNode, BuiltTree, NodeIdx, NodeShape, NO_NODE};
 use crate::{Data, TreeType};
 use paratreet_geometry::{BoundingBox, NodeKey, ROOT_KEY};
 use paratreet_particles::Particle;
-use rayon::prelude::*;
-
-/// Below this many particles a node always splits sequentially.
-const PARALLEL_THRESHOLD: usize = 4096;
 
 /// Configuration for building one (sub)tree.
 #[derive(Clone, Copy, Debug)]
@@ -28,8 +24,6 @@ pub struct TreeBuilder {
     pub tree_type: TreeType,
     /// Maximum particles per leaf bucket (the paper's `max_bucket_size`).
     pub bucket_size: usize,
-    /// Split large nodes with rayon.
-    pub parallel: bool,
     /// Key of the subtree root in the global tree ([`ROOT_KEY`] when
     /// building a whole tree).
     pub root_key: NodeKey,
@@ -41,25 +35,13 @@ pub struct TreeBuilder {
 impl TreeBuilder {
     /// A builder for a whole tree with the paper-ish default bucket size.
     pub fn new(tree_type: TreeType) -> TreeBuilder {
-        TreeBuilder {
-            tree_type,
-            bucket_size: 16,
-            parallel: true,
-            root_key: ROOT_KEY,
-            root_depth: 0,
-        }
+        TreeBuilder { tree_type, bucket_size: 16, root_key: ROOT_KEY, root_depth: 0 }
     }
 
     /// Sets the bucket size.
     pub fn bucket_size(mut self, b: usize) -> TreeBuilder {
         assert!(b > 0, "bucket size must be positive");
         self.bucket_size = b;
-        self
-    }
-
-    /// Enables or disables rayon splitting.
-    pub fn parallel(mut self, p: bool) -> TreeBuilder {
-        self.parallel = p;
         self
     }
 
@@ -134,39 +116,25 @@ impl TreeBuilder {
         // Split the slice into per-child groups plus their boxes/keys.
         let groups = self.split(particles, &bbox, key, global_depth);
 
-        // Recurse — in parallel when the node is big enough.
+        // Recurse into each child's contiguous slice.
         let mut running = offset;
-        let mut tasks: Vec<(usize, &mut [Particle], u32, BoundingBox, NodeKey)> = Vec::new();
-        {
-            let mut rest = particles;
-            for (slot, len, child_bbox, child_key) in &groups {
-                let (head, tail) = rest.split_at_mut(*len);
-                tasks.push((*slot, head, running, *child_bbox, *child_key));
-                running += *len as u32;
-                rest = tail;
-            }
+        let mut rest = particles;
+        let mut child_arenas: Vec<(usize, Vec<BuildNode<D>>)> = Vec::with_capacity(groups.len());
+        for &(slot, len, child_bbox, child_key) in &groups {
+            let (head, tail) = rest.split_at_mut(len);
+            let arena = self.node_arena::<D>(
+                head,
+                running,
+                child_bbox,
+                child_key,
+                global_depth + 1,
+                local_depth + 1,
+                max_local_depth,
+            );
+            child_arenas.push((slot, arena));
+            running += len as u32;
+            rest = tail;
         }
-        let build_child =
-            |(slot, slice, off, cb, ck): (usize, &mut [Particle], u32, BoundingBox, NodeKey)| {
-                (
-                    slot,
-                    self.node_arena::<D>(
-                        slice,
-                        off,
-                        cb,
-                        ck,
-                        global_depth + 1,
-                        local_depth + 1,
-                        max_local_depth,
-                    ),
-                )
-            };
-        let child_arenas: Vec<(usize, Vec<BuildNode<D>>)> =
-            if self.parallel && n as usize >= PARALLEL_THRESHOLD {
-                tasks.into_par_iter().map(build_child).collect()
-            } else {
-                tasks.into_iter().map(build_child).collect()
-            };
 
         // Stitch: parent at index 0, then each child arena with indices
         // shifted by its base.
@@ -343,24 +311,6 @@ mod tests {
             covered = r.end;
         }
         assert_eq!(covered, t.particles.len());
-    }
-
-    #[test]
-    fn parallel_and_sequential_builds_agree() {
-        let ps = gen::clustered(6000, 3, 5, 1.0, 1.0);
-        let bbox = ps.bounding_box().padded(1e-9).bounding_cube();
-        let seq: BuiltTree<CountData> =
-            TreeBuilder::new(TreeType::Octree).parallel(false).build(ps.clone(), bbox);
-        let par: BuiltTree<CountData> =
-            TreeBuilder::new(TreeType::Octree).parallel(true).build(ps, bbox);
-        assert_eq!(seq.nodes.len(), par.nodes.len());
-        assert_eq!(seq.root().data.count, par.root().data.count);
-        for (a, b) in seq.nodes.iter().zip(&par.nodes) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.shape, b.shape);
-            assert_eq!(a.n_particles, b.n_particles);
-        }
-        assert_eq!(seq.particles, par.particles);
     }
 
     #[test]

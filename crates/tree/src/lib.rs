@@ -10,9 +10,9 @@
 //! * [`TreeType`] — the built-in tree types: octree, k-d
 //!   (axis-cycling median splits), and the longest-dimension tree from
 //!   the planetary-disk case study (§IV-B),
-//! * [`build::TreeBuilder`] — sequential and rayon-parallel top-down
-//!   builds that reorder particles so every leaf owns a contiguous
-//!   bucket, then accumulate `Data` bottom-up,
+//! * [`build::TreeBuilder`] — top-down builds that reorder particles
+//!   so every leaf owns a contiguous bucket, then accumulate `Data`
+//!   bottom-up (engines run independent Subtree builds in parallel),
 //! * [`node::BuiltTree`] — the arena the build produces, which the cache
 //!   layer grafts into the per-process global tree,
 //! * [`query`] — traversal-agnostic point-query kernels (kNN / ball /

@@ -794,7 +794,6 @@ impl<D: Data> UpdatableTree<D> {
         let builder = TreeBuilder {
             tree_type: self.tree_type,
             bucket_size: self.bucket_size,
-            parallel: false,
             root_key: self.root_key,
             root_depth: self.root_depth,
         };

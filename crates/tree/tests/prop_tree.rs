@@ -108,20 +108,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn parallel_matches_sequential(
-        ps in arb_particles(),
-        tree_type in arb_tree_type(),
-    ) {
-        let bbox = ps.bounding_box().padded(1e-9);
-        let bbox = if tree_type == TreeType::Octree { bbox.bounding_cube() } else { bbox };
-        let a = TreeBuilder::new(tree_type).parallel(false).build::<CountData>(ps.clone(), bbox);
-        let b = TreeBuilder::new(tree_type).parallel(true).build::<CountData>(ps, bbox);
-        prop_assert_eq!(a.nodes.len(), b.nodes.len());
-        for (x, y) in a.nodes.iter().zip(&b.nodes) {
-            prop_assert_eq!(x.key, y.key);
-            prop_assert_eq!(x.n_particles, y.n_particles);
-        }
-    }
 }

@@ -15,11 +15,17 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== cargo test --workspace -q (every crate's unit and integration tests) =="
+cargo test --workspace -q
+
 echo "== cargo build --workspace --no-default-features (telemetry off) =="
 cargo build --workspace --no-default-features
 
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
+
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== fig9 smoke (--json) =="
 cargo run --release -q -p paratreet-bench --bin fig9_time_profile -- \

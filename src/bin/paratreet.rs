@@ -89,7 +89,8 @@ INCREMENTAL TREE MAINTENANCE (all engines):
                        a whole-tree rebuild + re-decomposition [2.5]
   --inc-universe-pad F universe padding fraction kept as drift
                        headroom (0 disables padding)       [0.05]
-  --inc-threads N      threads for the batch update phases
+  --inc-threads N      threads for every shared-engine parallel
+                       phase: builds, traversal, batch updates
                        (0 = one per core)                  [0]
 
 QUERY SERVING (serve-bench only):
@@ -491,6 +492,10 @@ fn run_gravity(opts: &HashMap<String, String>) {
     let iterations = config.iterations;
     let dt = get(opts, "dt", 1.0 / 64.0);
     let engine = get(opts, "engine", "shared".to_string());
+    if kind == TraversalKind::DualTree && engine != "shared" {
+        eprintln!("--traversal dual-tree runs only on the shared engine, not --engine {engine}");
+        exit(2);
+    }
 
     match engine.as_str() {
         "shared" => {
